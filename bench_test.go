@@ -28,6 +28,7 @@ import (
 	"nwcq/internal/harness"
 	"nwcq/internal/pager"
 	"nwcq/internal/rstar"
+	"nwcq/internal/trace"
 )
 
 // benchOptions scales every figure benchmark: 2% of the paper's
@@ -221,25 +222,87 @@ func benchEnv(b *testing.B, pts []geom.Point) *harness.Env {
 	return env
 }
 
+// reportWork reruns a benchmark's first queries once more, traced and
+// outside the timer, and reports the engine work per query: candidate
+// windows enumerated and groups emitted past the window gate. run
+// answers query i under the given recorder. The counts depend only on
+// the queries, so they compare across runs of any -benchtime.
+func reportWork(b *testing.B, queries int, run func(i int, rec *trace.Recorder) (core.Stats, error)) {
+	b.Helper()
+	b.StopTimer()
+	var windows, emitted int64
+	for i := 0; i < queries; i++ {
+		rec := trace.New()
+		st, err := run(i, rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		windows += int64(st.CandidateWindows)
+		emitted += rec.Snapshot().Counters[trace.CtrGroupsEmitted]
+	}
+	b.ReportMetric(float64(emitted)/float64(queries), "groupsemitted/op")
+	b.ReportMetric(float64(windows)/float64(queries), "candwindows/op")
+}
+
 // BenchmarkNWCQuery measures one NWC query per iteration for each
 // scheme on a 10k-point clustered dataset.
 func BenchmarkNWCQuery(b *testing.B) {
 	pts := datagen.NYLikeN(10000, 1)
 	env := benchEnv(b, pts)
 	queries := harness.QueryPoints(64, 5)
+	ctx := context.Background()
 	for _, scheme := range []core.Scheme{core.SchemeNWC, core.SchemeNWCPlus, core.SchemeNWCStar} {
 		b.Run(scheme.String(), func(b *testing.B) {
+			run := func(i int, rec *trace.Recorder) (core.Stats, error) {
+				q := queries[i%len(queries)]
+				_, st, err := env.Engine.NWCTrace(ctx, core.Query{Q: q, L: 60, W: 60, N: 8}, scheme, core.MeasureMax, rec)
+				return st, err
+			}
 			env.Tree.ResetVisits()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				_, _, err := env.Engine.NWC(core.Query{Q: q, L: 60, W: 60, N: 8}, scheme, core.MeasureMax)
-				if err != nil {
+				if _, err := run(i, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(env.Tree.Visits())/float64(b.N), "nodevisits/op")
+			reportWork(b, 4, run) // plain NWC visits the whole tree per query
 		})
+	}
+}
+
+// BenchmarkDenseLadder measures NWC* where window evaluation, not node
+// visits, is the cost: 20k NY-like clustered points, query points
+// jittered by σ = 50 off data points, over l = w ∈ {15, 30}, n ∈ {4, 8}
+// and the four measures.
+func BenchmarkDenseLadder(b *testing.B) {
+	pts := datagen.NYLikeN(20000, 2017)
+	env := benchEnv(b, pts)
+	rng := rand.New(rand.NewSource(7))
+	queries := make([]geom.Point, 16)
+	for i := range queries {
+		c := pts[rng.Intn(len(pts))]
+		queries[i] = geom.Point{X: c.X + rng.NormFloat64()*50, Y: c.Y + rng.NormFloat64()*50}
+	}
+	ctx := context.Background()
+	for _, l := range []float64{15, 30} {
+		for _, n := range []int{4, 8} {
+			for _, measure := range []core.Measure{core.MeasureMax, core.MeasureMin, core.MeasureAvg, core.MeasureWindow} {
+				b.Run(fmt.Sprintf("l=%g/n=%d/%v", l, n, measure), func(b *testing.B) {
+					run := func(i int, rec *trace.Recorder) (core.Stats, error) {
+						qy := core.Query{Q: queries[i%len(queries)], L: l, W: l, N: n}
+						_, st, err := env.Engine.NWCTrace(ctx, qy, core.SchemeNWCStar, measure, rec)
+						return st, err
+					}
+					for i := 0; i < b.N; i++ {
+						if _, err := run(i, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+					reportWork(b, len(queries), run)
+				})
+			}
+		}
 	}
 }
 
@@ -391,17 +454,20 @@ func BenchmarkKNWCQuery(b *testing.B) {
 	pts := datagen.NYLikeN(10000, 2)
 	env := benchEnv(b, pts)
 	queries := harness.QueryPoints(64, 6)
+	ctx := context.Background()
 	for _, k := range []int{2, 8} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			run := func(i int, rec *trace.Recorder) (core.Stats, error) {
+				qy := core.KNWCQuery{Query: core.Query{Q: queries[i%len(queries)], L: 60, W: 60, N: 8}, K: k, M: 2}
+				_, st, err := env.Engine.KNWCTrace(ctx, qy, core.SchemeNWCStar, core.MeasureMax, rec)
+				return st, err
+			}
 			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				_, _, err := env.Engine.KNWC(core.KNWCQuery{
-					Query: core.Query{Q: q, L: 60, W: 60, N: 8}, K: k, M: 2,
-				}, core.SchemeNWCStar, core.MeasureMax)
-				if err != nil {
+				if _, err := run(i, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
+			reportWork(b, 16, run)
 		})
 	}
 }

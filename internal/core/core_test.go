@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -117,8 +119,51 @@ func checkResultValid(t *testing.T, pts []geom.Point, qy Query, measure Measure,
 		}
 		inData[o]--
 	}
-	if d := groupDist(qy.Q, r.Objects, r.Window, measure); math.Abs(d-r.Dist) > 1e-9 {
+	if d := groupDist(qy.Q, r.Objects, r.Window, measure); d != r.Dist {
 		t.Fatalf("reported dist %g, recomputed %g", r.Dist, d)
+	}
+}
+
+// tieLattice returns a 15 × 15 lattice at spacing 10 with every vertex
+// held by two objects. Nearly every window ties many others, and with
+// l = w = 60 an anchor sees well over fenwickThreshold candidates, so
+// window evaluation takes the order-statistic path.
+func tieLattice() []geom.Point {
+	var pts []geom.Point
+	for i := 0; i < 15; i++ {
+		for j := 0; j < 15; j++ {
+			for d := 0; d < 2; d++ {
+				pts = append(pts, geom.Point{X: float64(i * 10), Y: float64(j * 10), ID: uint64(len(pts))})
+			}
+		}
+	}
+	return pts
+}
+
+// checkNWCAgainstOracle runs qy under every scheme and measure and
+// requires the exhaustive oracle's Found flag and bit-identical Dist.
+func checkNWCAgainstOracle(t *testing.T, eng *Engine, pts []geom.Point, qy Query, label string) {
+	t.Helper()
+	for _, measure := range allMeasures {
+		want := BruteForceNWC(pts, qy, measure)
+		for _, scheme := range allSchemes {
+			got, _, err := eng.NWC(qy, scheme, measure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Found != want.Found {
+				t.Fatalf("%s scheme=%v measure=%v qy=%+v: found=%v, brute=%v",
+					label, scheme, measure, qy, got.Found, want.Found)
+			}
+			if !got.Found {
+				continue
+			}
+			if got.Dist != want.Dist {
+				t.Fatalf("%s scheme=%v measure=%v qy=%+v: dist=%.17g, brute=%.17g",
+					label, scheme, measure, qy, got.Dist, want.Dist)
+			}
+			checkResultValid(t, pts, qy, measure, got)
+		}
 	}
 }
 
@@ -147,29 +192,88 @@ func TestNWCMatchesBruteForceAllSchemes(t *testing.T) {
 				W: rng.Float64()*150 + 1,
 				N: 1 + rng.Intn(6),
 			}
-			for _, measure := range allMeasures {
-				want := BruteForceNWC(pts, qy, measure)
-				for _, scheme := range allSchemes {
-					got, _, err := eng.NWC(qy, scheme, measure)
-					if err != nil {
+			checkNWCAgainstOracle(t, eng, pts, qy, fmt.Sprintf("n=%d seed=%d", cfg.n, cfg.seed))
+		}
+	}
+	// Tie-heavy config: lattice-aligned windows on a doubled lattice.
+	rng := rand.New(rand.NewSource(11))
+	pts := tieLattice()
+	eng := buildEngine(t, pts, 8, 25)
+	for trial := 0; trial < 4; trial++ {
+		qy := Query{
+			Q: geom.Point{X: rng.Float64()*200 - 30, Y: rng.Float64()*200 - 30},
+			L: 60, W: 60,
+			N: 1 + rng.Intn(8),
+		}
+		checkNWCAgainstOracle(t, eng, pts, qy, "lattice")
+	}
+}
+
+// TestNWCEmitsOnlyImprovements pins the strict window gate: a group
+// tying or trailing the bound is discarded by emit anyway, so the
+// traversal must never materialise one. The data mixes the doubled
+// lattice (ties everywhere; Fenwick-sized candidate sets) with
+// clustered points (small candidate sets, direct selection), and a
+// shared bound seeded above the answer exercises the bound() = min(local,
+// shared) form the scatter-gather router uses.
+func TestNWCEmitsOnlyImprovements(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pts := tieLattice()
+	for _, p := range genPoints(rng, 120, true) {
+		p.X, p.Y = 150+p.X/4, 150+p.Y/4 // clusters beside the lattice
+		p.ID += uint64(len(pts))
+		pts = append(pts, p)
+	}
+	eng := buildEngine(t, pts, 8, 25)
+	emits := 0
+	for _, origin := range []float64{0, 150} { // inside the lattice, then the clusters
+		qy := Query{
+			Q: geom.Point{X: origin + rng.Float64()*140, Y: origin + rng.Float64()*140},
+			L: 60, W: 60,
+			N: 1 + rng.Intn(8),
+		}
+		for _, measure := range allMeasures {
+			for _, scheme := range allSchemes {
+				want, _, err := eng.NWC(qy, scheme, measure)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, shared := range []bool{false, true} {
+					best := math.Inf(1)
+					bound := func() float64 { return best }
+					var sb *rstar.SharedBound
+					if shared {
+						sb = rstar.NewSharedBound()
+						if want.Found {
+							sb.Tighten(2*want.Dist + 1)
+						}
+						bound = func() float64 { return math.Min(best, sb.Load()) }
+					}
+					emit := func(g Group) {
+						emits++
+						if b := bound(); g.Dist >= b {
+							t.Fatalf("scheme %v measure %v shared=%v qy %+v: emitted dist %.17g, bound %.17g",
+								scheme, measure, shared, qy, g.Dist, b)
+						}
+						best = g.Dist
+						if sb != nil {
+							sb.Tighten(g.Dist)
+						}
+					}
+					if _, err := eng.search(context.Background(), qy, scheme, bound, emit, measure, nil, sb); err != nil {
 						t.Fatal(err)
 					}
-					if got.Found != want.Found {
-						t.Fatalf("n=%d seed=%d scheme=%v measure=%v qy=%+v: found=%v, brute=%v",
-							cfg.n, cfg.seed, scheme, measure, qy, got.Found, want.Found)
+					if want.Found && best != want.Dist || !want.Found && !math.IsInf(best, 1) {
+						t.Fatalf("scheme %v measure %v shared=%v: best %.17g, NWC %.17g", scheme, measure, shared, best, want.Dist)
 					}
-					if !got.Found {
-						continue
-					}
-					if math.Abs(got.Dist-want.Dist) > 1e-9 {
-						t.Fatalf("n=%d seed=%d scheme=%v measure=%v qy=%+v: dist=%.12g, brute=%.12g",
-							cfg.n, cfg.seed, scheme, measure, qy, got.Dist, want.Dist)
-					}
-					checkResultValid(t, pts, qy, measure, got)
 				}
 			}
 		}
 	}
+	if emits == 0 {
+		t.Fatal("no group emitted")
+	}
+	t.Logf("%d emits, all improvements", emits)
 }
 
 // TestSchemesAgreeOnLargerData cross-checks all schemes against plain
@@ -199,7 +303,7 @@ func TestSchemesAgreeOnLargerData(t *testing.T) {
 				if got.Found != base.Found {
 					t.Fatalf("scheme %v found=%v, NWC found=%v (qy=%+v)", scheme, got.Found, base.Found, qy)
 				}
-				if got.Found && math.Abs(got.Dist-base.Dist) > 1e-9 {
+				if got.Found && got.Dist != base.Dist {
 					t.Fatalf("scheme %v dist=%.12g, NWC dist=%.12g (qy=%+v, measure=%v)",
 						scheme, got.Dist, base.Dist, qy, measure)
 				}
@@ -373,7 +477,7 @@ func TestQueryFarOutsideSpace(t *testing.T) {
 		if got.Found != want.Found {
 			t.Fatalf("scheme %v: found=%v want %v", scheme, got.Found, want.Found)
 		}
-		if got.Found && math.Abs(got.Dist-want.Dist) > 1e-9 {
+		if got.Found && got.Dist != want.Dist {
 			t.Fatalf("scheme %v: dist %g, want %g", scheme, got.Dist, want.Dist)
 		}
 	}
@@ -408,7 +512,7 @@ func TestDuplicateHeavyDataset(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Found != want.Found || (got.Found && math.Abs(got.Dist-want.Dist) > 1e-9) {
+				if got.Found != want.Found || (got.Found && got.Dist != want.Dist) {
 					t.Fatalf("scheme %v measure %v qy %+v: got (%v, %g), want (%v, %g)",
 						scheme, measure, qy, got.Found, got.Dist, want.Found, want.Dist)
 				}

@@ -1,14 +1,10 @@
 package core
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // distStats is an order-statistic structure over the objects currently
 // inside the sliding candidate window: a Fenwick (binary indexed) tree
-// over coordinate-compressed squared distances, tracking per-rank counts
-// and linear-distance sums.
+// over coordinate-compressed squared distances, tracking per-rank counts.
 //
 // evaluateWindows slides a window over the y-sorted candidates of one
 // anchor; each object enters and leaves the window exactly once, and for
@@ -16,14 +12,12 @@ import (
 // best group — the n-th smallest object distance for MeasureMax, the
 // smallest for MeasureMin, the mean of the n smallest for MeasureAvg.
 // Computing those from scratch costs O(s) per window (O(s²) per anchor);
-// the Fenwick tree answers them in O(log s), so whole-window evaluation
-// drops to O(s log s) per anchor. Groups are only materialised for
-// windows whose exact distance beats the current pruning bound.
+// kthD2 answers each rank in O(log s), and measureDist turns the ranks
+// into the exact group distance, so groups are only selected for windows
+// whose distance beats the current pruning bound.
 type distStats struct {
 	d2s   []float64 // sorted unique squared distances; rank i ↔ d2s[i]
-	dist  []float64 // linear distance per rank
 	cnt   []int     // Fenwick tree of counts (1-based)
-	sum   []float64 // Fenwick tree of linear-distance sums (1-based)
 	total int
 }
 
@@ -43,21 +37,11 @@ func (ds *distStats) reset(allD2 []float64) {
 	slices.Sort(ds.d2s)
 	ds.d2s = slices.Compact(ds.d2s)
 	n := len(ds.d2s)
-	if cap(ds.dist) < n {
-		ds.dist = make([]float64, n)
+	if cap(ds.cnt) < n+1 {
 		ds.cnt = make([]int, n+1)
-		ds.sum = make([]float64, n+1)
 	}
-	ds.dist = ds.dist[:n]
 	ds.cnt = ds.cnt[:n+1]
-	ds.sum = ds.sum[:n+1]
-	for i, v := range ds.d2s {
-		ds.dist[i] = math.Sqrt(v)
-	}
-	for i := range ds.cnt {
-		ds.cnt[i] = 0
-		ds.sum[i] = 0
-	}
+	clear(ds.cnt)
 	ds.total = 0
 }
 
@@ -77,19 +61,15 @@ func (ds *distStats) rankOf(d2 float64) int {
 }
 
 func (ds *distStats) add(rank int) {
-	d := ds.dist[rank]
 	for i := rank + 1; i <= len(ds.d2s); i += i & (-i) {
 		ds.cnt[i]++
-		ds.sum[i] += d
 	}
 	ds.total++
 }
 
 func (ds *distStats) remove(rank int) {
-	d := ds.dist[rank]
 	for i := rank + 1; i <= len(ds.d2s); i += i & (-i) {
 		ds.cnt[i]--
-		ds.sum[i] -= d
 	}
 	ds.total--
 }
@@ -112,30 +92,4 @@ func (ds *distStats) kthD2(k int) float64 {
 		}
 	}
 	return ds.d2s[pos]
-}
-
-// sumSmallest returns the sum of the k smallest linear distances in the
-// window. The caller guarantees 1 ≤ k ≤ total.
-func (ds *distStats) sumSmallest(k int) float64 {
-	pos := 0
-	remain := k
-	total := 0.0
-	step := 1
-	for step*2 <= len(ds.d2s) {
-		step *= 2
-	}
-	for ; step > 0; step /= 2 {
-		next := pos + step
-		if next <= len(ds.d2s) && ds.cnt[next] < remain {
-			remain -= ds.cnt[next]
-			total += ds.sum[next]
-			pos = next
-		}
-	}
-	// pos now indexes the rank holding the remaining elements (all of
-	// equal distance).
-	if remain > 0 {
-		total += float64(remain) * ds.dist[pos]
-	}
-	return total
 }

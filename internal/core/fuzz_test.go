@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
 	"testing"
 
 	"nwcq/internal/geom"
@@ -61,7 +60,7 @@ func FuzzNWCAgainstOracle(f *testing.F) {
 				t.Fatalf("scheme %v: found=%v, oracle %v (pts=%v qy=%+v)",
 					scheme, got.Found, want.Found, pts, qy)
 			}
-			if got.Found && math.Abs(got.Dist-want.Dist) > 1e-9 {
+			if got.Found && got.Dist != want.Dist {
 				t.Fatalf("scheme %v: dist=%g, oracle %g (pts=%v qy=%+v)",
 					scheme, got.Dist, want.Dist, pts, qy)
 			}

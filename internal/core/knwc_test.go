@@ -30,7 +30,7 @@ func checkDefinition3(t *testing.T, pts []geom.Point, qy KNWCQuery, measure Meas
 				t.Fatalf("%s: group %d object %v outside window %v", label, gi, o, g.Window)
 			}
 		}
-		if d := groupDist(qy.Q, g.Objects, g.Window, measure); math.Abs(d-g.Dist) > eps {
+		if d := groupDist(qy.Q, g.Objects, g.Window, measure); d != g.Dist {
 			t.Fatalf("%s: group %d dist %g, recomputed %g", label, gi, g.Dist, d)
 		}
 	}
@@ -154,8 +154,34 @@ func TestKNWCFirstGroupIsOptimal(t *testing.T) {
 			if len(groups) == 0 {
 				t.Fatalf("scheme %v returned nothing, NWC optimum dist %g", scheme, want.Dist)
 			}
-			if math.Abs(groups[0].Dist-want.Dist) > 1e-9 {
+			if groups[0].Dist != want.Dist {
 				t.Fatalf("scheme %v first group dist %g, NWC optimum %g", scheme, groups[0].Dist, want.Dist)
+			}
+		}
+	}
+}
+
+// checkKNWCAgainstGreedy runs qy under every kNWC scheme and measure
+// and requires the greedy oracle's group count and bit-identical
+// distances.
+func checkKNWCAgainstGreedy(t *testing.T, eng *Engine, pts []geom.Point, qy KNWCQuery) {
+	t.Helper()
+	for _, measure := range allMeasures {
+		want := BruteForceKNWC(pts, qy, measure)
+		for _, scheme := range knwcSchemes {
+			got, _, err := eng.KNWC(qy, scheme, measure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("scheme %v measure %v qy %+v: %d groups, greedy has %d",
+					scheme, measure, qy, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Dist != want[i].Dist {
+					t.Fatalf("scheme %v measure %v qy %+v: group %d dist %.17g, greedy %.17g",
+						scheme, measure, qy, i, got[i].Dist, want[i].Dist)
+				}
 			}
 		}
 	}
@@ -179,25 +205,22 @@ func TestKNWCMatchesGreedyReference(t *testing.T) {
 			K: 1 + rng.Intn(4),
 		}
 		qy.M = rng.Intn(qy.N)
-		for _, measure := range allMeasures {
-			want := BruteForceKNWC(pts, qy, measure)
-			for _, scheme := range knwcSchemes {
-				got, _, err := eng.KNWC(qy, scheme, measure)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("scheme %v measure %v qy %+v: %d groups, greedy has %d",
-						scheme, measure, qy, len(got), len(want))
-				}
-				for i := range got {
-					if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-						t.Fatalf("scheme %v measure %v qy %+v: group %d dist %g, greedy %g",
-							scheme, measure, qy, i, got[i].Dist, want[i].Dist)
-					}
-				}
-			}
+		checkKNWCAgainstGreedy(t, eng, pts, qy)
+	}
+	// Tie-heavy config: lattice-aligned windows on a doubled lattice.
+	pts = tieLattice()
+	eng = buildEngine(t, pts, 8, 25)
+	for trial := 0; trial < 2; trial++ {
+		qy := KNWCQuery{
+			Query: Query{
+				Q: geom.Point{X: rng.Float64()*200 - 30, Y: rng.Float64()*200 - 30},
+				L: 60, W: 60,
+				N: 2 + rng.Intn(6),
+			},
+			K: 2 + rng.Intn(3),
 		}
+		qy.M = rng.Intn(qy.N)
+		checkKNWCAgainstGreedy(t, eng, pts, qy)
 	}
 }
 
@@ -223,7 +246,7 @@ func TestKNWCK1EqualsNWC(t *testing.T) {
 		if nwc.Found != (len(groups) == 1) {
 			t.Fatalf("k=1 found mismatch: NWC %v, kNWC %d groups", nwc.Found, len(groups))
 		}
-		if nwc.Found && math.Abs(groups[0].Dist-nwc.Dist) > 1e-9 {
+		if nwc.Found && groups[0].Dist != nwc.Dist {
 			t.Fatalf("k=1 dist %g, NWC dist %g", groups[0].Dist, nwc.Dist)
 		}
 	}

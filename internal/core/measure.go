@@ -7,38 +7,40 @@ import (
 	"nwcq/internal/geom"
 )
 
-// groupDist computes the distance between q and objs (which must already
-// be the n objects chosen from a window win) under measure m. For
-// MeasureWindow the value is MINDIST(q, win): the engine keeps the
+// measureDist is the package's one distance formula. It returns the
+// distance under m of a group of n objects whose k-th closest (1-based)
+// lies at squared distance kthD2(k) from q, chosen from a window at
+// squared MINDIST winD2. Every distance is the square root of a squared
+// distance, and MeasureAvg sums the roots in ascending order, so the
+// engine's window gate, the groups it emits and the brute-force oracles
+// all produce bit-identical values — which is what lets the gate be
+// strict (see evaluateWindows).
+//
+// For MeasureWindow the value is MINDIST(q, win): the engine keeps the
 // minimum over every qualified window it sees containing a better group,
 // which realises Equation (4)'s minimum over all qualified windows.
-func groupDist(q geom.Point, objs []geom.Point, win geom.Rect, m Measure) float64 {
+func measureDist(m Measure, n int, kthD2 func(k int) float64, winD2 float64) float64 {
 	switch m {
 	case MeasureMin:
-		best := math.Inf(1)
-		for _, p := range objs {
-			if d := q.Dist(p); d < best {
-				best = d
-			}
-		}
-		return best
+		return math.Sqrt(kthD2(1))
 	case MeasureAvg:
 		sum := 0.0
-		for _, p := range objs {
-			sum += q.Dist(p)
+		for k := 1; k <= n; k++ {
+			sum += math.Sqrt(kthD2(k))
 		}
-		return sum / float64(len(objs))
+		return sum / float64(n)
 	case MeasureWindow:
-		return win.MinDist(q)
+		return math.Sqrt(winD2)
 	default: // MeasureMax
-		worst := 0.0
-		for _, p := range objs {
-			if d := q.Dist(p); d > worst {
-				worst = d
-			}
-		}
-		return worst
+		return math.Sqrt(kthD2(n))
 	}
+}
+
+// groupDist computes the distance between q and objs under measure m.
+// objs must be the n objects chosen from window win, in ascending
+// distance order as nClosest returns them.
+func groupDist(q geom.Point, objs []geom.Point, win geom.Rect, m Measure) float64 {
+	return measureDist(m, len(objs), func(k int) float64 { return objs[k-1].Dist2(q) }, win.MinDist2(q))
 }
 
 // distOrder is the deterministic object ordering used to pick the n
@@ -65,27 +67,33 @@ func distLess(a, b distPoint) bool {
 
 // nClosest returns the n objects of pts closest to q in ascending
 // distance order (all of them if n ≥ len(pts)), breaking distance ties
-// deterministically. pts is not modified. The selection runs in
-// O(len(pts) + n log n) expected time via quickselect — this sits on the
-// hot path of window evaluation.
+// deterministically. pts is not modified.
 func nClosest(q geom.Point, pts []geom.Point, n int) []geom.Point {
-	return nClosestScratch(q, pts, n, nil)
+	return selectClosest(q, pts, n, make([]distPoint, len(pts))).points()
 }
 
-// nClosestScratch is nClosest drawing its selection buffer from sc (nil
-// allocates fresh, as callers off the query path do). The returned
-// slice is always freshly allocated — it ends up in result groups and
-// must not alias pooled memory.
-func nClosestScratch(q geom.Point, pts []geom.Point, n int, sc *searchScratch) []geom.Point {
-	if n > len(pts) {
-		n = len(pts)
+// selection is the n closest objects of a window with their squared
+// distances, in ascending distLess order.
+type selection []distPoint
+
+func (s selection) kthD2(k int) float64 { return s[k-1].d2 }
+
+// points returns the selected objects in a freshly allocated slice: it
+// ends up in result groups and must not alias pooled scratch.
+func (s selection) points() []geom.Point {
+	out := make([]geom.Point, len(s))
+	for i, dp := range s {
+		out[i] = dp.p
 	}
-	var scratch []distPoint
-	if sc != nil {
-		scratch = sc.distPoints(len(pts))
-	} else {
-		scratch = make([]distPoint, len(pts))
-	}
+	return out
+}
+
+// selectClosest selects the n objects of pts closest to q (all of them
+// if n ≥ len(pts)) into scratch, which must hold len(pts) entries. The
+// selection runs in O(len(pts) + n log n) expected time via quickselect
+// — this sits on the hot path of window evaluation.
+func selectClosest(q geom.Point, pts []geom.Point, n int, scratch []distPoint) selection {
+	n = min(n, len(pts))
 	for i, p := range pts {
 		scratch[i] = distPoint{d2: p.Dist2(q), p: p}
 	}
@@ -100,11 +108,7 @@ func nClosestScratch(q geom.Point, pts []geom.Point, n int, sc *searchScratch) [
 		}
 		return 0
 	})
-	out := make([]geom.Point, n)
-	for i, dp := range top {
-		out[i] = dp.p
-	}
-	return out
+	return top
 }
 
 // quickselect partitions s so that the k smallest elements under

@@ -165,8 +165,8 @@ func (pq *pqueue) pop() pqItem {
 
 // search drives the shared NWC/kNWC traversal. bound returns the current
 // pruning distance (the distance of the best group for NWC, of the k-th
-// group for kNWC, +Inf while unset); emit receives every candidate group
-// that passes the window-level MINDIST check, in discovery order.
+// group for kNWC, +Inf while unset); emit receives, in discovery order,
+// every candidate group strictly closer than the bound at the time.
 //
 // All accounting goes onto the returned Stats, a carrier owned by this
 // one query: node visits are counted by a per-query tree Reader (which
@@ -343,12 +343,12 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, meas
 			}
 		})
 	}
-	// Order-statistic tracking of the sliding window's object distances:
-	// it yields each window's exact group distance in O(log s), so the
-	// group's object list is materialised only when it can actually beat
-	// the bound. MeasureWindow needs no object distances.
-	// For small candidate sets the per-anchor setup outweighs the
-	// per-window savings; evaluate those directly.
+	// Order-statistic tracking of the sliding window's object distances
+	// yields each window's exact group distance in O(log s), so windows
+	// whose group cannot beat the bound skip selection altogether.
+	// MeasureWindow needs no object distances. For small candidate sets
+	// the per-anchor setup outweighs the per-window savings; those go
+	// straight to selection, which applies the same gate.
 	const fenwickThreshold = 96
 	var fen *distStats
 	var ranks []int
@@ -364,10 +364,6 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, meas
 			ranks[i] = fen.rankOf(v)
 		}
 	}
-	// gateSlack keeps the O(log s) gate conservative: the gate value and
-	// the authoritative groupDist recomputation may differ by a few ulps
-	// (sqrt-of-sum vs hypot), and a borderline group must never be lost.
-	const gateSlack = 1 + 1e-9
 
 	lo := 0
 	for i, o := range s {
@@ -409,37 +405,25 @@ func (e *Engine) evaluateWindows(qy Query, p geom.Point, sc *searchScratch, meas
 		}
 		st.QualifiedWindows++
 		win := geom.CandidateWindow(q, p, o, l, w)
+		winD2 := win.MinDist2(q)
+		// Strict gate: emit and knwcState.insert both discard a group at
+		// distance ≥ b, and measureDist gives the gate, the emitted group
+		// and the oracles the same bits, so a window whose group ties the
+		// bound is skipped before anything is materialised. The window's
+		// MINDIST bounds every measure from below.
 		b := bound()
-		finiteBound := !math.IsInf(b, 1)
-		if finiteBound && win.MinDist2(q) >= b*b {
+		if math.Sqrt(winD2) >= b {
 			continue
 		}
-		// Exact-distance gate: skip materialising groups that cannot
-		// beat the bound. Emitting a non-improving group would be
-		// harmless (both NWC and kNWC re-check), so the gate errs on
-		// the permissive side.
-		if fen != nil && finiteBound {
-			switch measure {
-			case MeasureMax:
-				if fen.kthD2(n) > b*b*gateSlack {
-					continue
-				}
-			case MeasureMin:
-				if fen.kthD2(1) > b*b*gateSlack {
-					continue
-				}
-			case MeasureAvg:
-				if fen.sumSmallest(n)/float64(n) > b*gateSlack {
-					continue
-				}
-			}
+		if fen != nil && measureDist(measure, n, fen.kthD2, winD2) >= b {
+			continue
 		}
-		objs := nClosestScratch(q, s[lo:i+1], n, sc)
+		top := selectClosest(q, s[lo:i+1], n, sc.distPoints(i+1-lo))
+		d := measureDist(measure, n, top.kthD2, winD2)
+		if d >= b {
+			continue
+		}
 		rec.Count(trace.CtrGroupsEmitted, 1)
-		emit(Group{
-			Objects: objs,
-			Dist:    groupDist(q, objs, win, measure),
-			Window:  win,
-		})
+		emit(Group{Objects: top.points(), Dist: d, Window: win})
 	}
 }

@@ -87,7 +87,7 @@ func TestQuickNWCOptimality(t *testing.T) {
 		if !got.Found {
 			return true
 		}
-		return math.Abs(got.Dist-want.Dist) <= 1e-9
+		return got.Dist == want.Dist
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -127,7 +127,7 @@ func TestQuickSchemeEquivalence(t *testing.T) {
 		if got.Found != base.Found {
 			return false
 		}
-		return !got.Found || math.Abs(got.Dist-base.Dist) <= 1e-9
+		return !got.Found || got.Dist == base.Dist
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

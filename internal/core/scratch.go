@@ -18,7 +18,7 @@ type searchScratch struct {
 	buf   []geom.Point // window-query results / in-place x-filtered candidates
 	d2    []float64    // squared distances feeding the Fenwick setup
 	ranks []int        // candidate rank per index
-	dp    []distPoint  // nClosest selection scratch
+	dp    []distPoint  // n-closest selection scratch
 	fen   distStats    // Fenwick arrays, reset per anchor
 }
 
