@@ -1,7 +1,6 @@
 package nwcq
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -38,7 +37,7 @@ func TestNWCBatchMatchesSequential(t *testing.T) {
 		if batch[i].Found != seq.Found {
 			t.Fatalf("query %d: batch found=%v, sequential %v", i, batch[i].Found, seq.Found)
 		}
-		if seq.Found && math.Abs(batch[i].Dist-seq.Dist) > 1e-9 {
+		if seq.Found && batch[i].Dist != seq.Dist {
 			t.Fatalf("query %d: batch dist %g, sequential %g", i, batch[i].Dist, seq.Dist)
 		}
 	}
@@ -108,7 +107,7 @@ func TestKNWCBatch(t *testing.T) {
 			t.Fatalf("query %d: batch %d groups, sequential %d", i, len(batch[i].Groups), len(seq))
 		}
 		for j := range seq {
-			if math.Abs(batch[i].Groups[j].Dist-seq[j].Dist) > 1e-9 {
+			if batch[i].Groups[j].Dist != seq[j].Dist {
 				t.Fatalf("query %d group %d: dist %g vs %g", i, j, batch[i].Groups[j].Dist, seq[j].Dist)
 			}
 		}

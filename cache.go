@@ -102,63 +102,25 @@ func resultCacheMetrics(st qcache.Stats) *ResultCacheMetrics {
 // result must never be stored for (or served to) an unbounded caller.
 func (ix *Index) nwcCached(ctx context.Context, q Query) (Result, bool, error) {
 	ev := qevent.From(ctx)
-	c := ix.cache
-	if c == nil || rstar.BoundFromContext(ctx) != nil {
-		if ev != nil {
-			if c == nil {
-				ev.Cache = qevent.CacheOff
-			} else {
-				ev.Cache = qevent.CacheBypass
-			}
-		}
-		res, err := ix.nwcEvent(ctx, q, ev)
-		return res, false, err
+	var c *qcache.Cache[Query, Result]
+	if ix.cache != nil {
+		c = ix.cache.nwc
 	}
-	gen := ix.ViewGeneration()
-	if res, ok := c.nwc.Get(gen, q); ok {
-		if ev != nil {
-			ev.Cache = qevent.CacheHit
-		}
-		return res, true, nil
-	}
-	if ev != nil {
-		ev.Cache = qevent.CacheMiss
-	}
-	res, err := c.nwc.Do(ctx, gen, q, func() (Result, error) {
+	return qcache.Lookup(ctx, c, ev, rstar.BoundFromContext(ctx) != nil, ix.ViewGeneration, q, func() (Result, error) {
 		return ix.nwcEvent(ctx, q, ev)
 	})
-	return res, false, err
 }
 
 // knwcCached is nwcCached for kNWC queries.
 func (ix *Index) knwcCached(ctx context.Context, q KQuery) (KResult, bool, error) {
 	ev := qevent.From(ctx)
-	c := ix.cache
-	if c == nil || rstar.BoundFromContext(ctx) != nil {
-		if ev != nil {
-			if c == nil {
-				ev.Cache = qevent.CacheOff
-			} else {
-				ev.Cache = qevent.CacheBypass
-			}
-		}
-		res, err := ix.knwcEvent(ctx, q, ev)
-		return res, false, err
+	var c *qcache.Cache[KQuery, KResult]
+	if ix.cache != nil {
+		c = ix.cache.knwc
 	}
-	gen := ix.ViewGeneration()
-	if res, ok := c.knwc.Get(gen, q); ok {
-		if ev != nil {
-			ev.Cache = qevent.CacheHit
-		}
-		return res, true, nil
-	}
-	if ev != nil {
-		ev.Cache = qevent.CacheMiss
-	}
-	res, err := c.knwc.Do(ctx, gen, q, func() (KResult, error) {
+	return qcache.Lookup(ctx, c, ev, rstar.BoundFromContext(ctx) != nil, ix.ViewGeneration, q, func() (KResult, error) {
 		return ix.knwcEvent(ctx, q, ev)
 	})
-	return res, false, err
 }
 
 // nwcEvent executes the query, attaching a trace recorder when a wide

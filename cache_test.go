@@ -2,7 +2,6 @@ package nwcq
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -219,7 +218,7 @@ func TestBatchHonorsWithParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range res {
-		if res[i].Found != direct.Found || math.Abs(res[i].Dist-direct.Dist) > 1e-9 {
+		if res[i].Found != direct.Found || res[i].Dist != direct.Dist {
 			t.Fatalf("batch[%d] = %+v, direct %+v", i, res[i], direct)
 		}
 	}

@@ -81,7 +81,7 @@ func main() {
 		data        = flag.String("data", "", "CSV dataset file (x,y[,id] per line)")
 		index       = flag.String("index", "", "page file for a disk-backed index: reopened if it exists (replaying its WAL), else built from -data; with -shards > 1, a directory of per-shard page files")
 		shards      = flag.Int("shards", 1, "spatial shards: 1 serves a single index, > 1 a scatter-gather router over a grid partition")
-		parallelism = flag.Int("parallelism", 0, "query worker-pool width: scatter fan-out over shards and batch execution (0 = GOMAXPROCS, 1 = sequential)")
+		parallelism = flag.Int("parallelism", 0, "query worker-pool width: scatter fan-out over shards and batch execution (0 = GOMAXPROCS, 1 = one worker; every width runs the same scatter loop)")
 		resultCache = flag.Int("result-cache", 0, "query result cache entries per query kind, invalidated by any mutation (0 disables)")
 		addr        = flag.String("addr", ":8080", "listen address")
 		bulk        = flag.Bool("bulk", true, "bulk-load the index")

@@ -1,12 +1,16 @@
 // Package pool provides the bounded worker pool every fan-out path
-// shares: batch execution on all backends, the sharded router's scatter
-// phase, and its border/certify fetch passes. One implementation keeps
-// the claim/fail semantics identical everywhere.
+// shares: batch execution on all backends (Batch), the sharded router's
+// scatter phase, and its border/certify fetch passes. One
+// implementation keeps the claim/fail semantics identical everywhere.
 package pool
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"sync"
+
+	"nwcq/internal/qevent"
 )
 
 // Workers resolves a parallelism knob: n itself when positive,
@@ -75,4 +79,26 @@ func Each(n, workers int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// Batch answers every query with run over a bounded worker pool and
+// returns the results in input order. The first error aborts the batch
+// and is reported with the failing query's index. A request's wide
+// event belongs to that one request, so the fan-out runs detached and
+// concurrent members never race on it.
+func Batch[Q, R any](ctx context.Context, queries []Q, workers int, run func(context.Context, Q) (R, error)) ([]R, error) {
+	ctx = qevent.Detach(ctx)
+	results := make([]R, len(queries))
+	err := Each(len(queries), workers, func(i int) error {
+		res, err := run(ctx, queries[i])
+		if err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }

@@ -21,6 +21,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"nwcq/internal/qevent"
 )
 
 // Stats is a point-in-time copy of a cache's counters.
@@ -165,6 +167,37 @@ func (c *Cache[K, V]) Do(ctx context.Context, gen uint64, k K, fn func() (V, err
 	c.mu.Unlock()
 	close(e.done)
 	return v, err
+}
+
+// Lookup answers k through c and reports whether the answer was a hit,
+// recording the outcome on ev (which may be nil). A nil c means caching
+// is off; bypass marks an execution that must neither read nor fill the
+// cache — one running under a shared scatter bound may elide groups at
+// or beyond the global bound, so its result is only valid for the
+// merge that requested it. gen is read only when the cache is consulted.
+func Lookup[K comparable, V any](ctx context.Context, c *Cache[K, V], ev *qevent.Event, bypass bool, gen func() uint64, k K, run func() (V, error)) (V, bool, error) {
+	if c == nil || bypass {
+		if ev != nil {
+			ev.Cache = qevent.CacheOff
+			if c != nil {
+				ev.Cache = qevent.CacheBypass
+			}
+		}
+		v, err := run()
+		return v, false, err
+	}
+	g := gen()
+	if v, ok := c.Get(g, k); ok {
+		if ev != nil {
+			ev.Cache = qevent.CacheHit
+		}
+		return v, true, nil
+	}
+	if ev != nil {
+		ev.Cache = qevent.CacheMiss
+	}
+	v, err := c.Do(ctx, g, k, run)
+	return v, false, err
 }
 
 // evictLocked frees one slot, preferring a landed entry over an

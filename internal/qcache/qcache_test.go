@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"nwcq/internal/qevent"
 )
 
 func TestHitAfterDo(t *testing.T) {
@@ -22,6 +24,46 @@ func TestHitAfterDo(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestLookupOutcomes pins the wide-event cache outcomes and that a
+// bypassed execution neither reads nor fills the cache.
+func TestLookupOutcomes(t *testing.T) {
+	ctx := context.Background()
+	gen := func() uint64 { return 1 }
+	runs := 0
+	run := func() (string, error) { runs++; return "v", nil }
+	lookup := func(c *Cache[int, string], bypass bool) (string, bool) {
+		t.Helper()
+		ev := &qevent.Event{}
+		v, hit, err := Lookup(ctx, c, ev, bypass, gen, 7, run)
+		if err != nil || v != "v" {
+			t.Fatalf("Lookup = %q, %v", v, err)
+		}
+		return ev.Cache, hit
+	}
+	if got, hit := lookup(nil, false); got != qevent.CacheOff || hit {
+		t.Fatalf("no cache: outcome %q hit %v", got, hit)
+	}
+	c := New[int, string](4)
+	if got, hit := lookup(c, true); got != qevent.CacheBypass || hit {
+		t.Fatalf("bypass: outcome %q hit %v", got, hit)
+	}
+	if st := c.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("bypassed execution touched the cache: %+v", st)
+	}
+	if got, hit := lookup(c, false); got != qevent.CacheMiss || hit {
+		t.Fatalf("first lookup: outcome %q hit %v", got, hit)
+	}
+	if got, hit := lookup(c, false); got != qevent.CacheHit || !hit {
+		t.Fatalf("repeat lookup: outcome %q hit %v", got, hit)
+	}
+	if got, hit := lookup(c, true); got != qevent.CacheBypass || hit {
+		t.Fatalf("bypass over a filled cache: outcome %q hit %v", got, hit)
+	}
+	if runs != 4 {
+		t.Fatalf("run called %d times, want 4 (off, bypass, miss, bypass)", runs)
 	}
 }
 

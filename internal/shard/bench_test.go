@@ -71,11 +71,14 @@ func BenchmarkShardedScatterGather(b *testing.B) {
 }
 
 // BenchmarkShardedParallel measures routed NWC latency across shard
-// counts × scatter widths × cache temperature. par=1 is the sequential
-// path (the no-regression baseline against the pre-parallel router);
-// wider settings exercise the cooperative shared bound (boundtighten/op
-// reports how often in-flight traversals improved it — the cooperation
-// the clustered dataset is built to provoke). cache=hot replays one
+// counts × scatter widths × cache temperature. Every width runs the
+// one scatter loop with the cooperative shared bound, so boundtighten/op
+// (how often a shard traversal improved the cell — the cooperation the
+// clustered dataset is built to provoke) is above zero at par=1 as
+// well: there the home shard's best prunes inside each sibling in turn.
+// par=1 runs on the calling goroutine; wider settings overlap shard
+// traversals. The pprof label around each shard query allocates, so
+// par=1 rows carry those allocations too. cache=hot replays one
 // query so every iteration after the first is a result-cache hit;
 // cache=cold disables the cache. Note: on a single-CPU runner
 // (GOMAXPROCS=1) parallel widths measure coordination overhead, not

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -57,7 +56,7 @@ func TestShardedMutationOracle(t *testing.T) {
 			t.Fatalf("step %d query: %v", step, err)
 		}
 		if got.Found != oracle.Found ||
-			(got.Found && math.Abs(got.Dist-oracle.Group.Dist) > distEps) {
+			(got.Found && got.Dist != oracle.Group.Dist) {
 			t.Fatalf("step %d: dist %v/%g, oracle %v/%g",
 				step, got.Found, got.Dist, oracle.Found, oracle.Group.Dist)
 		}
@@ -160,7 +159,7 @@ func TestConcurrentMutationStraddling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Found || math.Abs(res.Dist-oracle.Group.Dist) > distEps {
+		if !res.Found || res.Dist != oracle.Group.Dist {
 			t.Fatalf("iter %d: dist %v/%g, oracle %g", i, res.Found, res.Dist, oracle.Group.Dist)
 		}
 		if i%10 == 0 {
@@ -168,7 +167,7 @@ func TestConcurrentMutationStraddling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !kres.Found || math.Abs(kres.Groups[0].Dist-oracle.Group.Dist) > distEps {
+			if !kres.Found || kres.Groups[0].Dist != oracle.Group.Dist {
 				t.Fatalf("iter %d: kNWC best %g, oracle %g", i, kres.Groups[0].Dist, oracle.Group.Dist)
 			}
 		}

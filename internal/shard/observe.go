@@ -66,10 +66,11 @@ type routerMetrics struct {
 	borderPoints  metrics.Counter
 	fetchReruns   metrics.Counter
 	// boundTightenings counts improvements published to the shared
-	// scatter bound cell — evidence the parallel workers cooperated.
+	// scatter bound cell — evidence shard traversals pruned against
+	// each other's results (at every width).
 	boundTightenings metrics.Counter
 	// inflight gauges shard queries currently running in scatter
-	// workers (zero on the sequential path).
+	// workers, at every width.
 	inflight atomic.Int64
 
 	// phase holds the scatter/border/merge latency histograms, recorded
@@ -144,8 +145,8 @@ type RouterStats struct {
 	// doublings needed before the merged answer was provably exact.
 	FetchReruns uint64
 	// BoundTightenings counts improvements published to the shared
-	// scatter bound cell by in-flight shard traversals (parallel
-	// execution only).
+	// scatter bound cell by NWC shard traversals. Every width shares
+	// the cell, so it moves at Parallelism 1 too.
 	BoundTightenings uint64
 }
 
@@ -350,7 +351,7 @@ func (s *Sharded) WritePrometheus(w io.Writer) error {
 		{"nwcq_border_fetches_total", "Border-fetch passes for boundary-straddling windows.", rs.BorderFetches},
 		{"nwcq_border_points_total", "Candidate points collected by border fetches.", rs.BorderPoints},
 		{"nwcq_fetch_reruns_total", "kNWC certification reruns (fetch-bound doublings).", rs.FetchReruns},
-		{"nwcq_bound_tightenings_total", "Shared-bound improvements published by in-flight shard traversals.", rs.BoundTightenings},
+		{"nwcq_bound_tightenings_total", "Shared-bound improvements published by NWC shard traversals (every scatter width).", rs.BoundTightenings},
 	} {
 		pw.Header(c.name, "counter", c.help)
 		pw.Value(c.name, nil, float64(c.v))

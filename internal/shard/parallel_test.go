@@ -14,9 +14,9 @@ import (
 )
 
 // TestParallelMatchesSequentialAllSchemes is the parallel-execution
-// acceptance test: on a boundary-straddling dataset, the parallel
-// scatter (cooperative shared bound, claim-time pruning) must produce
-// exactly the sequential router's answer — which in turn must equal the
+// acceptance test: on a boundary-straddling dataset, the scatter at
+// width 4 (concurrent claims against the cooperative shared bound) must
+// produce exactly the width-1 answer — which in turn must equal the
 // brute-force oracle — for all 16 scheme combinations, all four
 // measures, NWC and kNWC.
 func TestParallelMatchesSequentialAllSchemes(t *testing.T) {
@@ -64,7 +64,7 @@ func TestParallelMatchesSequentialAllSchemes(t *testing.T) {
 				}
 				nwcAgree(t, "par/"+label, par, seq)
 				if par.Found != oracle.Found ||
-					(par.Found && math.Abs(par.Dist-oracle.Group.Dist) > distEps) {
+					(par.Found && par.Dist != oracle.Group.Dist) {
 					t.Fatalf("q%d %s: parallel dist %v/%g, oracle %v/%g",
 						qi, label, par.Found, par.Dist, oracle.Found, oracle.Group.Dist)
 				}
@@ -102,30 +102,66 @@ func TestParallelBoundTightenings(t *testing.T) {
 	}
 }
 
-// TestSingleShardAutomaticFallback verifies that a single-shard router
-// takes the sequential path no matter how wide the configured pool is:
-// the parallel machinery (shared cell, workers) must not engage, so its
-// tightenings counter stays zero.
-func TestSingleShardAutomaticFallback(t *testing.T) {
+// TestWidthOneSiblingsPruneAgainstHomeBound pins that the scatter
+// loop is one loop at every width: with Parallelism 1 the shared bound
+// still rides into every sibling traversal, so the home shard's best
+// prunes inside siblings. The reference replays the schedule without a
+// shared bound — home, then siblings with the region-MINDIST skip
+// against the merged best, each shard queried unbounded — and the
+// routed query must visit no more nodes than it on any query and
+// strictly fewer on some.
+func TestWidthOneSiblingsPruneAgainstHomeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	pts := straddlePoints(rng, 80)
-	sh, err := NewSharded(pts, Options{Shards: 1, Space: space, Parallelism: 8})
+	pts := straddlePoints(rng, 2000)
+	sh, err := NewSharded(pts, Options{Shards: 4, Space: space, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := sh.NWC(nwcq.Query{X: 50, Y: 50, Length: 10, Width: 10, N: 3}); err != nil {
+	bounds := sh.shardBounds()
+	fewer := 0
+	for qi := 0; qi < 40; qi++ {
+		q := nwcq.Query{
+			X: rng.Float64() * 100, Y: rng.Float64() * 100,
+			Length: 3 + rng.Float64()*4, Width: 3 + rng.Float64()*4,
+			N: 3 + rng.Intn(3),
+		}
+		qp := geom.Point{X: q.X, Y: q.Y}
+		home := sh.shardFor(q.X, q.Y)
+		var ref uint64
+		best := math.Inf(1)
+		for _, i := range append([]int{home}, siblings(qp, bounds, home)...) {
+			if i != home && bounds[i].MinDist(qp) > best {
+				continue
+			}
+			r, err := sh.shards[i].NWC(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref += r.Stats.NodeVisits
+			if r.Found && r.Dist < best {
+				best = r.Dist
+			}
+		}
+		got, err := sh.NWC(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got.Stats.NodeVisits > ref {
+			t.Fatalf("query %d: routed width-1 scatter visited %d nodes, unbounded siblings %d", qi, got.Stats.NodeVisits, ref)
+		}
+		if got.Stats.NodeVisits < ref {
+			fewer++
+		}
 	}
-	if rs := sh.RouterStats(); rs.BoundTightenings != 0 {
-		t.Fatalf("single-shard router engaged the parallel path: %+v", rs)
+	if fewer == 0 {
+		t.Fatal("the home shard's bound never pruned inside a sibling at width 1")
 	}
+	t.Logf("width 1 visited fewer nodes than unbounded siblings on %d of 40 queries", fewer)
 }
 
-// TestPoolSequentialPathZeroAllocs pins the fallback's cost: with one
-// worker the shared pool is a plain loop — no goroutines, no locks, no
+// TestPoolSequentialPathZeroAllocs pins the pool's width-1 cost: with
+// one worker it is a plain loop — no goroutines, no locks, no
 // allocations.
 func TestPoolSequentialPathZeroAllocs(t *testing.T) {
 	n := 0
@@ -318,7 +354,7 @@ func TestParallelBatchMatchesSequentialBatch(t *testing.T) {
 	}
 	for i := range queries {
 		if par[i].Found != seq[i].Found ||
-			(seq[i].Found && math.Abs(par[i].Dist-seq[i].Dist) > distEps) {
+			(seq[i].Found && par[i].Dist != seq[i].Dist) {
 			t.Fatalf("batch query %d: parallel %+v, sequential %+v", i, par[i], seq[i])
 		}
 	}

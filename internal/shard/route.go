@@ -14,6 +14,7 @@ import (
 	"nwcq/internal/core"
 	"nwcq/internal/geom"
 	wpool "nwcq/internal/pool"
+	"nwcq/internal/qcache"
 	"nwcq/internal/qevent"
 	"nwcq/internal/rstar"
 )
@@ -24,16 +25,17 @@ import (
 //     containing q) to seed a distance bound, then on the remaining
 //     shards in ascending MINDIST(q, shard bounds) order, skipping any
 //     shard whose MINDIST exceeds the current bound — the paper's
-//     best-first node pruning lifted to shard granularity. With
-//     Options.Parallelism above one, workers claim shards off that
-//     schedule concurrently and cooperate through a shared atomic bound
-//     cell: for NWC, every in-flight shard traversal prunes against the
-//     live global bound (threaded through rstar.Reader into SRR/DIP/DEP
-//     at node-visit granularity) and publishes its improvements back;
-//     still-queued shards whose MINDIST exceeds the cell are cancelled
-//     at claim time. kNWC shares its merge estimate at claim
-//     granularity only — see scatterKNWC for why engine-level sharing
-//     would be unsound there.
+//     best-first node pruning lifted to shard granularity. One loop
+//     (scatter) serves every width: the home shard runs alone, then
+//     Options.Parallelism workers claim the siblings off that schedule —
+//     one worker claims them in order. For NWC every shard traversal
+//     prunes against a shared atomic bound cell (threaded through
+//     rstar.Reader into SRR/DIP/DEP at node-visit granularity) and
+//     publishes its improvements back, so the home shard's best prunes
+//     inside every sibling at any width; queued siblings whose MINDIST
+//     exceeds the cell are skipped at claim time. kNWC shares its merge
+//     estimate at claim granularity only — see scatterKNWC for why
+//     engine-level sharing would be unsound there.
 //  2. Border: local answers are exact for groups drawn from one
 //     shard's points, but a window straddling a shard boundary can
 //     cluster points no single shard holds together. Every group with
@@ -118,8 +120,8 @@ func addStats(a, b nwcq.Stats) nwcq.Stats {
 
 // routeStats accumulates one routed query's attribution: the fan-out
 // counts and the wall-clock split across the scatter, border and merge
-// phases. It is owned by the routed query's goroutine; on the parallel
-// scatter path workers update the count fields under the scatter mutex.
+// phases. It is owned by the routed query's goroutine; scatter workers
+// update the count fields under the scatter mutex.
 // finishRoute flushes it once — into the global aggregates, the phase
 // histograms, and the request's wide event when one is attached.
 type routeStats struct {
@@ -162,9 +164,9 @@ func (s *Sharded) finishRoute(rt *routeStats, ev *qevent.Event) {
 	}
 }
 
-// visitOrder returns shard indexes with home first and the rest in
-// ascending MINDIST(q, bounds) order — the scatter schedule.
-func (s *Sharded) visitOrder(qp geom.Point, bounds []geom.Rect, home int) []int {
+// siblings returns every shard index but home in ascending
+// MINDIST(q, bounds) order — the scatter schedule after the home shard.
+func siblings(qp geom.Point, bounds []geom.Rect, home int) []int {
 	order := make([]int, 0, len(bounds))
 	for i := range bounds {
 		if i != home {
@@ -174,7 +176,7 @@ func (s *Sharded) visitOrder(qp geom.Point, bounds []geom.Rect, home int) []int 
 	sort.Slice(order, func(a, b int) bool {
 		return bounds[order[a]].MinDist2(qp) < bounds[order[b]].MinDist2(qp)
 	})
-	return append([]int{home}, order...)
+	return order
 }
 
 // fetchBox is the rectangle that contains every object of every
@@ -188,9 +190,9 @@ func fetchBox(q nwcq.Query, d float64) geom.Rect {
 // fetchPoints collects every indexed point inside fetch from the shards
 // whose bounds intersect it. Bounds cover all of a shard's points
 // (including outliers), so skipped shards provably hold nothing inside
-// fetch. With parallelism above one the per-shard window queries fan
-// out over the worker pool; results are concatenated in shard order
-// either way, so the fetched sequence is deterministic.
+// fetch. The per-shard window queries fan out over the worker pool;
+// results are concatenated in shard order, so the fetched sequence is
+// deterministic at any width.
 func (s *Sharded) fetchPoints(bounds []geom.Rect, fetch geom.Rect, rt *routeStats) ([]geom.Point, error) {
 	start := time.Now()
 	defer func() { rt.border += time.Since(start) }()
@@ -201,7 +203,7 @@ func (s *Sharded) fetchPoints(bounds []geom.Rect, fetch geom.Rect, rt *routeStat
 		}
 	}
 	parts := make([][]geom.Point, len(idxs))
-	err := wpool.Each(len(idxs), s.scatterWorkers(len(idxs)), func(j int) error {
+	err := wpool.Each(len(idxs), s.parallelism(), func(j int) error {
 		pts, err := s.shards[idxs[j]].Window(fetch.MinX, fetch.MinY, fetch.MaxX, fetch.MaxY)
 		if err != nil {
 			return err
@@ -270,29 +272,13 @@ func (s *Sharded) NWCCtx(ctx context.Context, q nwcq.Query) (nwcq.Result, error)
 }
 
 func (s *Sharded) nwcCached(ctx context.Context, q nwcq.Query) (nwcq.Result, bool, error) {
-	ev := qevent.From(ctx)
-	c := s.rcache
-	if c == nil {
-		if ev != nil {
-			ev.Cache = qevent.CacheOff
-		}
-		res, err := s.nwc(ctx, q, nil)
-		return res, false, err
+	var c *qcache.Cache[nwcq.Query, nwcq.Result]
+	if s.rcache != nil {
+		c = s.rcache.nwc
 	}
-	gen := s.generation()
-	if res, ok := c.nwc.Get(gen, q); ok {
-		if ev != nil {
-			ev.Cache = qevent.CacheHit
-		}
-		return res, true, nil
-	}
-	if ev != nil {
-		ev.Cache = qevent.CacheMiss
-	}
-	res, err := c.nwc.Do(ctx, gen, q, func() (nwcq.Result, error) {
+	return qcache.Lookup(ctx, c, qevent.From(ctx), false, s.generation, q, func() (nwcq.Result, error) {
 		return s.nwc(ctx, q, nil)
 	})
-	return res, false, err
 }
 
 // ExplainNWC answers an NWC query with per-shard tracing, merging the
@@ -374,119 +360,82 @@ func (s *Sharded) nwc(ctx context.Context, q nwcq.Query, col *explainCollector) 
 	return out, nil
 }
 
+// scatter runs one routed query's scatter phase — the single loop
+// behind every router width. The home shard runs first and alone, so
+// its best bounds every sibling claim at every width: a sibling claimed
+// beside it would start unbounded, and whether the home shard finished
+// first would be up to the scheduler. The siblings then go to the
+// worker pool (Options.Parallelism, clamped to their count) in
+// ascending MINDIST order; one whose region MINDIST exceeds bound() at
+// claim time is skipped and counted in ShardsPruned. Each shard query
+// runs unlocked, under an nwcq_shard=<i> pprof label so CPU profiles
+// split the fan-out by shard; merge then folds its answer in under mu,
+// the same mutex bound is read under, so a claim always sees a whole
+// merged state.
+func scatter[R any](ctx context.Context, s *Sharded, qp geom.Point, bounds []geom.Rect, home int, rt *routeStats,
+	bound func() float64, query func(ctx context.Context, i int) (R, error), merge func(R)) error {
+	var mu sync.Mutex
+	visit := func(i int) error {
+		var r R
+		var err error
+		s.obs.inflight.Add(1)
+		pprof.Do(ctx, pprof.Labels("nwcq_shard", strconv.Itoa(i)), func(ctx context.Context) {
+			r, err = query(ctx, i)
+		})
+		s.obs.inflight.Add(-1)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		rt.shardsQueried++
+		merge(r)
+		mu.Unlock()
+		return nil
+	}
+	if err := visit(home); err != nil {
+		return err
+	}
+	order := siblings(qp, bounds, home)
+	return wpool.Each(len(order), s.parallelism(), func(j int) error {
+		i := order[j]
+		mu.Lock()
+		if bounds[i].MinDist(qp) > bound() {
+			rt.shardsPruned++
+			mu.Unlock()
+			return nil
+		}
+		mu.Unlock()
+		return visit(i)
+	})
+}
+
 // scatterNWC runs the scatter phase and returns the merged best local
-// answer (best is +Inf when no shard found one). With one worker — or
-// one shard, the automatic fallback — it is the original sequential
-// loop, byte for byte of allocation. With more, workers claim shards
-// off the MINDIST schedule and cooperate through a shared bound cell:
-//
-//   - Every shard traversal runs with the cell on its reader, so SRR,
-//     DIP, DEP and the window MINDIST gate prune against
-//     min(local best, global bound) and publish improvements back.
-//   - A shard still queued when the cell drops below its region MINDIST
-//     is cancelled at claim time (counted in ShardsPruned, like the
-//     sequential prune).
+// answer (best is +Inf when no shard found one). Every shard traversal
+// runs with one shared bound cell on its reader, at every width, so
+// SRR, DIP, DEP and the window MINDIST gate prune against
+// min(local best, global bound) and publish improvements back; the
+// same cell prunes queued siblings at claim time.
 //
 // Safety: the cell is monotone non-increasing and always ≥ the final
 // global best B, so claim-time pruning only skips shards whose every
 // group is ≥ B, and in-traversal pruning only elides groups ≥ B —
 // both invisible to the merge, whose minimum is exactly B either way.
 func (s *Sharded) scatterNWC(ctx context.Context, q nwcq.Query, qp geom.Point, bounds []geom.Rect, home int, col *explainCollector, rt *routeStats) (nwcq.Result, float64, error) {
-	order := s.visitOrder(qp, bounds, home)
-	workers := s.scatterWorkers(len(order))
+	sb := rstar.NewSharedBound()
 	out := nwcq.Result{}
 	best := math.Inf(1)
-
-	if workers <= 1 {
-		for _, i := range order {
-			if i != home && bounds[i].MinDist(qp) > best {
-				rt.shardsPruned++
-				continue
-			}
-			r, err := s.shardNWC(ctx, i, q, col)
-			if err != nil {
-				return out, best, err
-			}
-			rt.shardsQueried++
+	err := scatter(rstar.ContextWithBound(ctx, sb), s, qp, bounds, home, rt, sb.Load,
+		func(ctx context.Context, i int) (nwcq.Result, error) { return s.shardNWC(ctx, i, q, col) },
+		func(r nwcq.Result) {
 			out.Stats = addStats(out.Stats, r.Stats)
 			if r.Found && r.Dist < best {
 				best = r.Dist
 				out.Group = r.Group
 				out.Found = true
 			}
-		}
-		return out, best, nil
-	}
-
-	sb := rstar.NewSharedBound()
-	bctx := rstar.ContextWithBound(ctx, sb)
-	var (
-		mu       sync.Mutex
-		next     int
-		firstErr error
-	)
-	// claim hands a worker the next unpruned shard off the schedule.
-	// Pruning tests the live cell, which is ≤ every completed shard's
-	// best, so it is at least as sharp as the sequential bound.
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for next < len(order) {
-			if firstErr != nil {
-				return 0, false
-			}
-			i := order[next]
-			next++
-			if i != home && bounds[i].MinDist(qp) > sb.Load() {
-				rt.shardsPruned++
-				continue
-			}
-			return i, true
-		}
-		return 0, false
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// The label shows up on CPU profiles, splitting scatter work
-			// by worker under /debug/pprof.
-			pprof.Do(bctx, pprof.Labels("nwcq_scatter_worker", strconv.Itoa(worker)), func(wctx context.Context) {
-				for {
-					i, ok := claim()
-					if !ok {
-						return
-					}
-					s.obs.inflight.Add(1)
-					r, err := s.shardNWC(wctx, i, q, col)
-					s.obs.inflight.Add(-1)
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					rt.shardsQueried++
-					out.Stats = addStats(out.Stats, r.Stats)
-					if r.Found && r.Dist < best {
-						best = r.Dist
-						out.Group = r.Group
-						out.Found = true
-					}
-					mu.Unlock()
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
+		})
 	s.obs.boundTightenings.Add(sb.Tightenings())
-	if firstErr != nil {
-		return out, best, firstErr
-	}
-	return out, best, nil
+	return out, best, err
 }
 
 func (s *Sharded) shardNWC(ctx context.Context, i int, q nwcq.Query, col *explainCollector) (nwcq.Result, error) {
@@ -522,29 +471,13 @@ func (s *Sharded) KNWCCtx(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, err
 }
 
 func (s *Sharded) knwcCached(ctx context.Context, q nwcq.KQuery) (nwcq.KResult, bool, error) {
-	ev := qevent.From(ctx)
-	c := s.rcache
-	if c == nil {
-		if ev != nil {
-			ev.Cache = qevent.CacheOff
-		}
-		res, err := s.knwc(ctx, q, nil)
-		return res, false, err
+	var c *qcache.Cache[nwcq.KQuery, nwcq.KResult]
+	if s.rcache != nil {
+		c = s.rcache.knwc
 	}
-	gen := s.generation()
-	if res, ok := c.knwc.Get(gen, q); ok {
-		if ev != nil {
-			ev.Cache = qevent.CacheHit
-		}
-		return res, true, nil
-	}
-	if ev != nil {
-		ev.Cache = qevent.CacheMiss
-	}
-	res, err := c.knwc.Do(ctx, gen, q, func() (nwcq.KResult, error) {
+	return qcache.Lookup(ctx, c, qevent.From(ctx), false, s.generation, q, func() (nwcq.KResult, error) {
 		return s.knwc(ctx, q, nil)
 	})
-	return res, false, err
 }
 
 // ExplainKNWC is KNWCCtx with per-shard tracing, merged like
@@ -571,25 +504,42 @@ func compatible(groups []core.Group, g core.Group, m int) bool {
 	return true
 }
 
-// mergeEstimate runs the greedy acceptance over the pooled per-shard
-// chain groups (ascending by distance) and returns the k-th accepted
-// distance, or +Inf when the pool cannot supply k groups. Ties are
-// broken deterministically but the value is only used as a fetch
-// bound, never returned.
-func mergeEstimate(pool []core.Group, k, m int) float64 {
-	sorted := make([]core.Group, len(pool))
-	copy(sorted, pool)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dist < sorted[j].Dist })
+// acceptGreedy is the router's one kNWC greedy acceptance: it walks
+// groups sorted ascending by distance and accepts each one compatible
+// with those already accepted, stopping at k accepted or at the first
+// group beyond horizon (+Inf for none).
+func acceptGreedy(sorted []core.Group, k, m int, horizon float64) []core.Group {
 	var accepted []core.Group
 	for _, g := range sorted {
+		if g.Dist > horizon {
+			break
+		}
 		if compatible(accepted, g, m) {
 			accepted = append(accepted, g)
 			if len(accepted) == k {
-				return g.Dist
+				break
 			}
 		}
 	}
-	return math.Inf(1)
+	return accepted
+}
+
+// byDist returns a copy of the pooled per-shard chain groups sorted
+// ascending by distance.
+func byDist(pool []core.Group) []core.Group {
+	sorted := make([]core.Group, len(pool))
+	copy(sorted, pool)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dist < sorted[j].Dist })
+	return sorted
+}
+
+// kResult materialises accepted groups as the routed answer.
+func kResult(groups []core.Group, stats nwcq.Stats) nwcq.KResult {
+	out := nwcq.KResult{Found: len(groups) > 0, Stats: stats}
+	for _, g := range groups {
+		out.Groups = append(out.Groups, groupOut(g))
+	}
+	return out
 }
 
 func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, error) {
@@ -624,7 +574,7 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 	// intersect the fetch box and the fast path is off.)
 	if !math.IsInf(est, 1) && intersecting(bounds, fetchBox(q.Query, est)) <= 1 {
 		mergeStart := time.Now()
-		out := s.mergedKResult(pool, q, stats)
+		out := kResult(acceptGreedy(byDist(pool), q.K, q.M, math.Inf(1)), stats)
 		rt.merge += time.Since(mergeStart)
 		return out, nil
 	}
@@ -651,35 +601,26 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 			return nwcq.KResult{Stats: stats}, err
 		}
 		col.borderDone(len(pts))
-		mergeStart := time.Now()
-		var groups []core.Group
-		for _, g := range core.CandidateGroups(pts, cq, measure) {
-			if !complete && g.Dist > d {
-				break // sorted ascending; past the certified horizon
-			}
-			if compatible(groups, g, q.M) {
-				groups = append(groups, g)
-				if len(groups) == q.K {
-					break
-				}
-			}
+		// Candidates come sorted ascending; past d the list is no longer
+		// certified unless the fetch covered everything.
+		horizon := d
+		if complete {
+			horizon = math.Inf(1)
 		}
+		mergeStart := time.Now()
+		groups := acceptGreedy(core.CandidateGroups(pts, cq, measure), q.K, q.M, horizon)
 		rt.merge += time.Since(mergeStart)
 		if len(groups) == q.K || complete {
-			out := nwcq.KResult{Found: len(groups) > 0, Stats: stats}
-			for _, g := range groups {
-				out.Groups = append(out.Groups, groupOut(g))
-			}
-			return out, nil
+			return kResult(groups, stats), nil
 		}
 		d = math.Max(2*d, math.Hypot(q.Length, q.Width))
 	}
 }
 
 // scatterKNWC collects per-shard chains, pruning queued shards against
-// the running merged estimate; the pool only seeds the certification
-// bound. With multiple workers the pool and estimate live behind a
-// mutex and shard claims prune against the live estimate.
+// the running merged estimate (the k-th greedy-accepted distance over
+// the pool, +Inf until the pool supplies k groups); the pool only seeds
+// the certification bound.
 //
 // Unlike NWC, the per-traversal engines get NO shared bound cell: the
 // merge estimate is non-monotone (accepting a pooled group can push the
@@ -691,114 +632,22 @@ func (s *Sharded) knwc(ctx context.Context, q nwcq.KQuery, col *explainCollector
 // irrelevant (MINDIST above the final estimate) or disables the fast
 // path and is covered by the certification fetch.
 func (s *Sharded) scatterKNWC(ctx context.Context, q nwcq.KQuery, qp geom.Point, bounds []geom.Rect, home int, col *explainCollector, rt *routeStats) (nwcq.Stats, []core.Group, float64, error) {
-	order := s.visitOrder(qp, bounds, home)
-	workers := s.scatterWorkers(len(order))
 	var stats nwcq.Stats
 	var pool []core.Group
 	est := math.Inf(1)
-
-	if workers <= 1 {
-		for _, i := range order {
-			if i != home && bounds[i].MinDist(qp) > est {
-				rt.shardsPruned++
-				continue
-			}
-			kr, err := s.shardKNWC(ctx, i, q, col)
-			if err != nil {
-				return stats, pool, est, err
-			}
-			rt.shardsQueried++
+	err := scatter(ctx, s, qp, bounds, home, rt, func() float64 { return est },
+		func(ctx context.Context, i int) (nwcq.KResult, error) { return s.shardKNWC(ctx, i, q, col) },
+		func(kr nwcq.KResult) {
 			stats = addStats(stats, kr.Stats)
 			for _, g := range kr.Groups {
 				pool = append(pool, groupIn(g))
 			}
-			est = mergeEstimate(pool, q.K, q.M)
-		}
-		return stats, pool, est, nil
-	}
-
-	var (
-		mu       sync.Mutex
-		next     int
-		firstErr error
-	)
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for next < len(order) {
-			if firstErr != nil {
-				return 0, false
+			est = math.Inf(1)
+			if acc := acceptGreedy(byDist(pool), q.K, q.M, math.Inf(1)); len(acc) == q.K {
+				est = acc[q.K-1].Dist
 			}
-			i := order[next]
-			next++
-			if i != home && bounds[i].MinDist(qp) > est {
-				rt.shardsPruned++
-				continue
-			}
-			return i, true
-		}
-		return 0, false
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			pprof.Do(ctx, pprof.Labels("nwcq_scatter_worker", strconv.Itoa(worker)), func(wctx context.Context) {
-				for {
-					i, ok := claim()
-					if !ok {
-						return
-					}
-					s.obs.inflight.Add(1)
-					kr, err := s.shardKNWC(wctx, i, q, col)
-					s.obs.inflight.Add(-1)
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					rt.shardsQueried++
-					stats = addStats(stats, kr.Stats)
-					for _, g := range kr.Groups {
-						pool = append(pool, groupIn(g))
-					}
-					est = mergeEstimate(pool, q.K, q.M)
-					mu.Unlock()
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return stats, pool, est, firstErr
-	}
-	return stats, pool, est, nil
-}
-
-// mergedKResult materialises the fast-path answer: greedy over the
-// pooled chains, ascending by distance.
-func (s *Sharded) mergedKResult(pool []core.Group, q nwcq.KQuery, stats nwcq.Stats) nwcq.KResult {
-	sorted := make([]core.Group, len(pool))
-	copy(sorted, pool)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dist < sorted[j].Dist })
-	var accepted []core.Group
-	for _, g := range sorted {
-		if compatible(accepted, g, q.M) {
-			accepted = append(accepted, g)
-			if len(accepted) == q.K {
-				break
-			}
-		}
-	}
-	out := nwcq.KResult{Found: len(accepted) > 0, Stats: stats}
-	for _, g := range accepted {
-		out.Groups = append(out.Groups, groupOut(g))
-	}
-	return out
+		})
+	return stats, pool, est, err
 }
 
 func (s *Sharded) shardKNWC(ctx context.Context, i int, q nwcq.KQuery, col *explainCollector) (nwcq.KResult, error) {
@@ -868,22 +717,7 @@ func (s *Sharded) NWCBatch(queries []nwcq.Query, opt nwcq.BatchOptions) ([]nwcq.
 // NWCBatchCtx fans routed NWC queries over a worker pool; the first
 // error aborts the batch, matching the single-index semantics.
 func (s *Sharded) NWCBatchCtx(ctx context.Context, queries []nwcq.Query, opt nwcq.BatchOptions) ([]nwcq.Result, error) {
-	// A wide event is owned by one request; the batch fan-out runs
-	// detached so concurrent members never race on it.
-	ctx = qevent.Detach(ctx)
-	results := make([]nwcq.Result, len(queries))
-	err := wpool.Each(len(queries), s.batchWorkers(opt), func(i int) error {
-		res, err := s.NWCCtx(ctx, queries[i])
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return wpool.Batch(ctx, queries, s.batchWorkers(opt), s.NWCCtx)
 }
 
 // KNWCBatch answers many kNWC queries concurrently, in input order.
@@ -893,20 +727,7 @@ func (s *Sharded) KNWCBatch(queries []nwcq.KQuery, opt nwcq.BatchOptions) ([]nwc
 
 // KNWCBatchCtx is the kNWC batch form of NWCBatchCtx.
 func (s *Sharded) KNWCBatchCtx(ctx context.Context, queries []nwcq.KQuery, opt nwcq.BatchOptions) ([]nwcq.KResult, error) {
-	ctx = qevent.Detach(ctx)
-	results := make([]nwcq.KResult, len(queries))
-	err := wpool.Each(len(queries), s.batchWorkers(opt), func(i int) error {
-		res, err := s.KNWCCtx(ctx, queries[i])
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return wpool.Batch(ctx, queries, s.batchWorkers(opt), s.KNWCCtx)
 }
 
 // batchWorkers resolves one batch call's worker count: the per-call

@@ -51,8 +51,10 @@ type Options struct {
 	Build []nwcq.BuildOption
 	// Parallelism is the router's worker-pool width: how many shards the
 	// scatter phase (and the border fetch) queries concurrently, and the
-	// default batch width. 0 means GOMAXPROCS; 1 forces the sequential
-	// path. Adjustable at runtime with SetParallelism.
+	// default batch width. 0 means GOMAXPROCS; 1 runs one worker on the
+	// calling goroutine. Every width runs the same scatter loop, so the
+	// NWC shared bound prunes inside sibling shards at width 1 too.
+	// Adjustable at runtime with SetParallelism.
 	Parallelism int
 	// ResultCache, when positive, gives the router a single-flight query
 	// result cache holding up to that many entries per query kind,
@@ -144,17 +146,6 @@ func (s *Sharded) SetParallelism(n int) {
 func (s *Sharded) Parallelism() int { return s.parallelism() }
 
 func (s *Sharded) parallelism() int { return wpool.Workers(int(s.par.Load())) }
-
-// scatterWorkers caps the worker width at the number of work items, so
-// a single-shard deployment (or a one-shard fetch) automatically takes
-// the sequential path with zero goroutine or locking overhead.
-func (s *Sharded) scatterWorkers(n int) int {
-	p := s.parallelism()
-	if p > n {
-		p = n
-	}
-	return p
-}
 
 // generation is the router's dataset version: the sum of the shards'
 // view generations. Per-shard generations are monotone, so the sum is

@@ -11,8 +11,6 @@ import (
 	"nwcq/internal/geom"
 )
 
-const distEps = 1e-9
-
 // space is the test data space; with 4 shards the grid splits 2×2 so
 // the internal boundaries sit at x=50 and y=50.
 var space = nwcq.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
@@ -93,7 +91,7 @@ func nwcAgree(t *testing.T, label string, got, want nwcq.Result) {
 	if got.Found != want.Found {
 		t.Fatalf("%s: Found=%v, want %v", label, got.Found, want.Found)
 	}
-	if got.Found && math.Abs(got.Dist-want.Dist) > distEps {
+	if got.Found && got.Dist != want.Dist {
 		t.Fatalf("%s: Dist=%g, want %g", label, got.Dist, want.Dist)
 	}
 	if got.Found && len(got.Objects) != len(want.Objects) {
@@ -107,7 +105,7 @@ func knwcAgree(t *testing.T, label string, got nwcq.KResult, want []core.Group) 
 		t.Fatalf("%s: %d groups, want %d", label, len(got.Groups), len(want))
 	}
 	for i := range want {
-		if math.Abs(got.Groups[i].Dist-want[i].Dist) > distEps {
+		if got.Groups[i].Dist != want[i].Dist {
 			t.Fatalf("%s: group %d Dist=%g, want %g", label, i, got.Groups[i].Dist, want[i].Dist)
 		}
 	}
@@ -156,7 +154,7 @@ func TestShardedMatchesOracleAllSchemes(t *testing.T) {
 				}
 				nwcAgree(t, label, rres, sres)
 				if rres.Found != oracle.Found ||
-					(rres.Found && math.Abs(rres.Dist-oracle.Group.Dist) > distEps) {
+					(rres.Found && rres.Dist != oracle.Group.Dist) {
 					t.Fatalf("q%d %s: sharded dist %v/%g, oracle %v/%g",
 						qi, label, rres.Found, rres.Dist, oracle.Found, oracle.Group.Dist)
 				}
@@ -213,7 +211,7 @@ func TestCrossShardOnlyGroup(t *testing.T) {
 			t.Fatalf("%s: kNWC %d groups, want %d", m, len(kgot.Groups), len(kwant.Groups))
 		}
 		for i := range kwant.Groups {
-			if math.Abs(kgot.Groups[i].Dist-kwant.Groups[i].Dist) > distEps {
+			if kgot.Groups[i].Dist != kwant.Groups[i].Dist {
 				t.Fatalf("%s: kNWC group %d dist %g, want %g", m, i, kgot.Groups[i].Dist, kwant.Groups[i].Dist)
 			}
 		}
@@ -295,7 +293,7 @@ func TestShardedWindowNearest(t *testing.T) {
 	for i := range wantN {
 		dw := math.Hypot(wantN[i].X-50, wantN[i].Y-50)
 		dg := math.Hypot(gotN[i].X-50, gotN[i].Y-50)
-		if math.Abs(dw-dg) > distEps {
+		if dw != dg {
 			t.Fatalf("Nearest rank %d: dist %g, want %g", i, dg, dw)
 		}
 	}

@@ -1,7 +1,6 @@
 package nwcq
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -136,7 +135,7 @@ func nwcAgrees(res Result, want core.Result) bool {
 	if res.Found != want.Found {
 		return false
 	}
-	return !res.Found || math.Abs(res.Dist-want.Group.Dist) <= 1e-9
+	return !res.Found || res.Dist == want.Group.Dist
 }
 
 func knwcAgrees(groups []Group, want []core.Group) bool {
@@ -144,7 +143,7 @@ func knwcAgrees(groups []Group, want []core.Group) bool {
 		return false
 	}
 	for i := range want {
-		if math.Abs(groups[i].Dist-want[i].Dist) > 1e-9 {
+		if groups[i].Dist != want[i].Dist {
 			return false
 		}
 	}

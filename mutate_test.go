@@ -34,7 +34,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Found != b.Found || math.Abs(a.Dist-b.Dist) > 1e-9 {
+	if a.Found != b.Found || a.Dist != b.Dist {
 		t.Fatalf("mutated index dist %g, fresh %g", a.Dist, b.Dist)
 	}
 
@@ -70,7 +70,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Found != b.Found || (a.Found && math.Abs(a.Dist-b.Dist) > 1e-9) {
+	if a.Found != b.Found || (a.Found && a.Dist != b.Dist) {
 		t.Fatalf("after deletes: mutated dist %v/%g, fresh %v/%g", a.Found, a.Dist, b.Found, b.Dist)
 	}
 
@@ -139,7 +139,7 @@ func TestMutationInvalidatesIWP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withIWP.Found != base.Found || math.Abs(withIWP.Dist-base.Dist) > 1e-9 {
+	if withIWP.Found != base.Found || withIWP.Dist != base.Dist {
 		t.Fatalf("stale-IWP rebuild broken: IWP %v/%g, plain %v/%g",
 			withIWP.Found, withIWP.Dist, base.Found, base.Dist)
 	}

@@ -222,8 +222,9 @@ type RouterMetrics struct {
 	Parallelism     int   `json:"parallelism"`
 	InflightWorkers int64 `json:"inflight_workers"`
 	// BoundTightenings counts improvements published to the shared
-	// scatter bound cell by in-flight shard traversals — how often the
-	// parallel workers actually helped each other prune.
+	// scatter bound cell by NWC shard traversals — how often one
+	// shard's result tightened the bound the others prune against (at
+	// every scatter width, including 1).
 	BoundTightenings uint64 `json:"bound_tightenings"`
 	// Phases maps routed-query phase name ("scatter", "border", "merge")
 	// to its latency distribution: every routed NWC/kNWC execution
